@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check build vet test race bench-smoke bench perfgate ensemble-smoke fuzz-smoke crashtest lint staticcheck govulncheck serve loadtest
+.PHONY: check build vet test test-cpu race bench-smoke bench perfgate ensemble-smoke fuzz-smoke crashtest lint staticcheck govulncheck serve loadtest
 
-## check: everything CI runs — vet, build, race-enabled tests, bench smoke,
-## perf gate, fuzz smoke, crash-recovery test, static analysis (go vet +
-## gvadlint + staticcheck)
-check: vet build race bench-smoke perfgate ensemble-smoke fuzz-smoke crashtest lint staticcheck
+## check: everything CI runs — vet, build, race-enabled tests, the server
+## tests at several core counts, bench smoke, perf gate, fuzz smoke,
+## crash-recovery test, static analysis (go vet + gvadlint + staticcheck)
+check: vet build race test-cpu bench-smoke perfgate ensemble-smoke fuzz-smoke crashtest lint staticcheck
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+## test-cpu: the server tests at GOMAXPROCS 1, 2 and 4. A test that
+## compares an output the API documents as deterministic only at workers 1
+## (DistanceCalls) must pin workers 1; this catches one that does not,
+## which a single-core host never would.
+test-cpu:
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/server
 
 ## race: the full test suite under the race detector; the parallel
 ## discretizer / RRA equivalence tests exercise the concurrent paths
@@ -41,16 +48,22 @@ bench:
 ## path fail. The induction family (BENCH_2.json rows, measured at 50x)
 ## gets wider tolerances: at this recipe's 5x the pooled-inducer warm-up
 ## is amortized over only 5 iterations, which inflates allocs/op by up to
-## ~16 and ns/op by ~2.4x before any regression exists.
+## ~16 and ns/op by ~2.4x before any regression exists. The serving rows
+## (BENCH_6.json: the in-process handler on a warm 20k-point density
+## request and a 256-point session append) run at 50x, the benchtime their
+## baselines were recorded at, because a fresh session's first appends
+## allocate more than its steady state.
 PERFGATE_OUT ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/gvperf-bench.out
 perfgate:
 	$(GO) test ./internal/discord -run '^$$' -bench 'Component_DistKernel|Component_Search' \
 		-benchtime 5x -benchmem > $(PERFGATE_OUT)
 	$(GO) test . -run '^$$' -bench 'Component_SequiturInduce|Component_GrammarBuild|Component_DensityCurve' \
 		-benchtime 5x -benchmem >> $(PERFGATE_OUT)
-	$(GO) run ./cmd/gvperf -baseline BENCH_5.json -baseline BENCH_2.json \
+	$(GO) test ./internal/server -run '^$$' -bench 'Component_Serve' \
+		-benchtime 50x -benchmem >> $(PERFGATE_OUT)
+	$(GO) run ./cmd/gvperf -baseline BENCH_5.json -baseline BENCH_2.json -baseline BENCH_6.json \
 		-tol 3.0 -alloc-tol 8 -family-tol 'induction=5.0:24' \
-		-min-matches 23 -input $(PERFGATE_OUT)
+		-min-matches 25 -input $(PERFGATE_OUT)
 
 ## ensemble-smoke: the parameter-free ensemble's core contracts as a quick
 ## gate — sampler determinism/validity, the members=1 byte-equivalence to
@@ -68,6 +81,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sequitur -run '^$$' -fuzz '^FuzzInduce$$' -fuzztime 3s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 3s
 	$(GO) test ./internal/discord -run '^$$' -fuzz '^FuzzDistKernel$$' -fuzztime 3s -fuzzminimizetime 1x
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 3s
 
 ## crashtest: the kill-recovery property test — a real gvad subprocess is
 ## SIGKILLed at randomized points (including mid-WAL-write via the

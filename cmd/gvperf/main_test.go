@@ -170,6 +170,8 @@ func TestFamily(t *testing.T) {
 		"Component_DensityCurve":                   "induction",
 		"Component_StreamingAppend":                "serving",
 		"Component_EnsembleDensity":                "serving",
+		"Component_ServeAnalyzeWarm":               "serving",
+		"Component_ServeStreamAppend":              "serving",
 		"Component_RRA/workers=2":                  "other",
 		"Ablation_Reduction":                       "other",
 	}

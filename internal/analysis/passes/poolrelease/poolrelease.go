@@ -30,9 +30,10 @@
 // so the analyzer works on the repo and on its testdata packages alike;
 // the workspace package itself is exempt (it implements the pool). The
 // same contract covers every checkout/release pair the workspace package
-// exports: Get/Put for analysis workspaces and GetKernel/PutKernel for
-// the distance kernel's pinned-query scratch. Pairing is by variable, so
-// a function may hold both kinds at once.
+// exports: Get/Put for analysis workspaces, GetKernel/PutKernel for
+// the distance kernel's pinned-query scratch and GetBody/PutBody for
+// gvad's request-body buffers. Pairing is by variable, so a function may
+// hold several kinds at once.
 //
 // Known approximation: a conditionally registered defer (defer inside a
 // branch) counts as covering every path, as it always has — flow-aware
@@ -89,8 +90,8 @@ func run(pass *analysis.Pass) error {
 // by the matching variable reaching any release name (the types keep the
 // pairs honest — a *Kernel cannot be passed to Put).
 var (
-	checkoutNames = map[string]bool{"Get": true, "GetKernel": true}
-	releaseNames  = map[string]bool{"Put": true, "PutKernel": true}
+	checkoutNames = map[string]bool{"Get": true, "GetKernel": true, "GetBody": true}
+	releaseNames  = map[string]bool{"Put": true, "PutKernel": true, "PutBody": true}
 )
 
 // isPoolCall reports whether call is workspace.<f>(...) with f's name in

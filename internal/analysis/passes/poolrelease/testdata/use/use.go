@@ -98,6 +98,23 @@ func KernelLeak() {
 	_ = kw
 } // want `return without releasing the workspace`
 
+// BodyDeferred: the GetBody/PutBody pair follows the same contract.
+func BodyDeferred() int {
+	b := workspace.GetBody()
+	defer workspace.PutBody(b)
+	return len(b.Buf)
+}
+
+// BodyLeakOnError releases the body buffer on the success path only.
+func BodyLeakOnError(fail bool) int {
+	b := workspace.GetBody()
+	if fail {
+		return -1 // want `return without releasing the workspace`
+	}
+	workspace.PutBody(b)
+	return 0
+}
+
 // BothKinds holds a workspace and a kernel scratch at once; pairing is by
 // variable, so releasing only one flags the other.
 func BothKinds(b bool) int {

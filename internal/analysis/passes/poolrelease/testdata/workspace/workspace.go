@@ -20,3 +20,12 @@ func GetKernel() *Kernel { return &Kernel{} }
 
 // PutKernel returns a kernel scratch to the pool.
 func PutKernel(k *Kernel) { _ = k }
+
+// Body is the pooled request-body buffer.
+type Body struct{ Buf []byte }
+
+// GetBody checks a body buffer out of the pool.
+func GetBody() *Body { return &Body{} }
+
+// PutBody returns a body buffer to the pool.
+func PutBody(b *Body) { _ = b }

@@ -88,6 +88,10 @@ type AnalyzeResponse struct {
 	// served from the LRU cache, skipping discretization and induction.
 	CacheHit bool `json:"cache_hit"`
 
+	// DistanceCalls counts the discord search's distance computations.
+	// It is deterministic only at workers 1: the parallel search promises
+	// the same discords, but how many calls it makes depends on how fast
+	// the workers' shared cutoff rises.
 	DistanceCalls int64   `json:"distance_calls"`
 	ElapsedMS     float64 `json:"elapsed_ms"`
 

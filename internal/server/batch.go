@@ -51,7 +51,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		s.requests.With("unknown", "invalid").Inc()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode batch request: %w", err))
+		writeDecodeError(w, "batch request", err)
 		return
 	}
 	if len(req.Requests) == 0 {

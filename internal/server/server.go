@@ -542,9 +542,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	var req AnalyzeRequest
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := decodeSeriesBody(body, r.ContentLength, &req, "series", &req.Series); err != nil {
 		s.requests.With("unknown", "invalid").Inc()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		writeDecodeError(w, "request", err)
 		return
 	}
 	if err := req.validate(s.cfg.MaxSeriesLen); err != nil {

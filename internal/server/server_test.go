@@ -109,31 +109,44 @@ func TestAnalyzeMatchesLibrary(t *testing.T) {
 
 	base := AnalyzeRequest{Series: series, Window: 45, PAA: 4, Alphabet: 4, K: 2, Seed: 1}
 
+	// Discords match at every worker count; DistanceCalls is deterministic
+	// only on the serial path (workers 1), so only there is it compared.
 	t.Run("rra", func(t *testing.T) {
-		req := base
-		req.Mode = ModeRRA
-		status, body := postAnalyze(t, ts.URL, req)
-		if status != http.StatusOK {
-			t.Fatalf("status %d: %s", status, body)
-		}
-		got := decodeAnalyze(t, body)
-		want, calls, err := det.DiscordsWithStats(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.DistanceCalls != calls {
-			t.Errorf("distance calls = %d, want %d", got.DistanceCalls, calls)
-		}
-		if got.Partial || got.Fallback {
-			t.Errorf("exact query flagged partial=%v fallback=%v", got.Partial, got.Fallback)
-		}
-		if len(got.Discords) != len(want) {
-			t.Fatalf("%d discords, want %d", len(got.Discords), len(want))
-		}
-		for i := range want {
-			if got.Discords[i] != want[i] {
-				t.Errorf("discord %d = %+v, want %+v", i, got.Discords[i], want[i])
-			}
+		for _, workers := range []int{1, 0} {
+			t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+				req := base
+				req.Mode = ModeRRA
+				req.Workers = workers
+				status, body := postAnalyze(t, ts.URL, req)
+				if status != http.StatusOK {
+					t.Fatalf("status %d: %s", status, body)
+				}
+				got := decodeAnalyze(t, body)
+				wantOpts := opts
+				wantOpts.Workers = workers
+				wantDet, err := grammarviz.New(series, wantOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, calls, err := wantDet.DiscordsWithStats(2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if workers == 1 && got.DistanceCalls != calls {
+					t.Errorf("distance calls = %d, want %d", got.DistanceCalls, calls)
+				}
+				if got.Partial || got.Fallback {
+					t.Errorf("exact query flagged partial=%v fallback=%v", got.Partial, got.Fallback)
+				}
+				if len(got.Discords) != len(want) {
+					t.Fatalf("%d discords, want %d", len(got.Discords), len(want))
+				}
+				for i := range want {
+					if got.Discords[i] != want[i] {
+						t.Errorf("discord %d = %+v, want %+v", i, got.Discords[i], want[i])
+					}
+				}
+			})
 		}
 	})
 

@@ -258,7 +258,7 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 	var req StreamOpenRequest
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		writeDecodeError(w, "request", err)
 		return
 	}
 	red, err := parseReduction(req.Reduction)
@@ -358,8 +358,8 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	var req StreamAppendRequest
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if err := decodeSeriesBody(body, r.ContentLength, &req, "points", &req.Points); err != nil {
+		writeDecodeError(w, "request", err)
 		return
 	}
 	if len(req.Points) == 0 {

@@ -13,6 +13,10 @@
 // and returned when the analysis ends, successfully or not. The pool is
 // sync.Pool-backed: under steady load each worker effectively keeps a
 // warm workspace, and idle workspaces are reclaimed by the GC.
+//
+// The package also pools the HTTP request-body buffer (Body) that gvad
+// decodes analyze and append requests from, so one checkout/release
+// contract — and one analyzer, poolrelease — covers every pool.
 package workspace
 
 import (
@@ -144,4 +148,38 @@ func (k *Kernel) MomentScratch(n int) (mean, inv []float64, stamp []uint32) {
 		k.Epoch = 1
 	}
 	return k.Mean, k.Inv, k.Stamp
+}
+
+// MaxPooledBody caps the capacity of a Body buffer PutBody returns to the
+// pool. Larger buffers are dropped for the GC, so one outsized request
+// (gvad accepts bodies up to 64 MiB) cannot pin its buffer in every idle
+// pool slot. 4 MiB holds a ~200k-point series.
+const MaxPooledBody = 4 << 20
+
+// Body is a pooled request-body buffer. Buf's contents are scratch:
+// decoders must copy out everything they keep (gvad's series slices are
+// always freshly allocated, because detectors retain them).
+type Body struct {
+	Buf []byte
+}
+
+var bodyPool = sync.Pool{
+	New: func() any { return &Body{} },
+}
+
+// GetBody checks a Body out of the pool with Buf empty. Like Get/Put,
+// every GetBody must be paired with a PutBody on all paths (the
+// poolrelease analyzer enforces this).
+func GetBody() *Body {
+	return bodyPool.Get().(*Body)
+}
+
+// PutBody returns b to the pool, unless its buffer grew past
+// MaxPooledBody. The caller must not use b or b.Buf afterwards.
+func PutBody(b *Body) {
+	if cap(b.Buf) > MaxPooledBody {
+		return
+	}
+	b.Buf = b.Buf[:0]
+	bodyPool.Put(b)
 }

@@ -47,3 +47,22 @@ func TestDiffScratch(t *testing.T) {
 		}
 	}
 }
+
+// TestBodyPoolCap checks that a body buffer grown past MaxPooledBody is
+// dropped rather than pooled, and that pooled buffers come back empty.
+func TestBodyPoolCap(t *testing.T) {
+	for i := 0; i < 8; i++ {
+		big := GetBody()
+		big.Buf = make([]byte, MaxPooledBody+1)
+		PutBody(big)
+		b := GetBody()
+		if cap(b.Buf) > MaxPooledBody {
+			t.Fatalf("GetBody returned a %d-byte buffer, over the %d-byte cap", cap(b.Buf), MaxPooledBody)
+		}
+		if len(b.Buf) != 0 {
+			t.Fatalf("GetBody returned %d stale bytes", len(b.Buf))
+		}
+		b.Buf = append(b.Buf, "body"...)
+		PutBody(b)
+	}
+}
