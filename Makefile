@@ -16,12 +16,14 @@ vet:
 test:
 	$(GO) test ./...
 
-## test-cpu: the server tests at GOMAXPROCS 1, 2 and 4. A test that
-## compares an output the API documents as deterministic only at workers 1
-## (DistanceCalls) must pin workers 1; this catches one that does not,
-## which a single-core host never would.
+## test-cpu: the tests of every package with a parallel path (the server,
+## the root package, discord, sax, ensemble, coalesce, core) at GOMAXPROCS
+## 1, 2 and 4. A test that compares an output the API documents as
+## deterministic only at workers 1 (DistanceCalls) must pin workers 1;
+## this catches one that does not, which a single-core host never would.
 test-cpu:
-	$(GO) test -count=1 -cpu 1,2,4 ./internal/server
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/server . ./internal/discord ./internal/sax \
+		./internal/ensemble ./internal/coalesce ./internal/core
 
 ## race: the full test suite under the race detector; the parallel
 ## discretizer / RRA equivalence tests exercise the concurrent paths
@@ -52,7 +54,10 @@ bench:
 ## (BENCH_6.json: the in-process handler on a warm 20k-point density
 ## request and a 256-point session append) run at 50x, the benchtime their
 ## baselines were recorded at, because a fresh session's first appends
-## allocate more than its steady state.
+## allocate more than its steady state. BENCH_7.json comes last because a
+## later baseline wins: it re-measures the Search rows after the search
+## bookkeeping stopped allocating per candidate, and adds the coded RRA
+## rows (Component_SearchRRACoded).
 PERFGATE_OUT ?= $(if $(TMPDIR),$(TMPDIR),/tmp)/gvperf-bench.out
 perfgate:
 	$(GO) test ./internal/discord -run '^$$' -bench 'Component_DistKernel|Component_Search' \
@@ -62,8 +67,9 @@ perfgate:
 	$(GO) test ./internal/server -run '^$$' -bench 'Component_Serve' \
 		-benchtime 50x -benchmem >> $(PERFGATE_OUT)
 	$(GO) run ./cmd/gvperf -baseline BENCH_5.json -baseline BENCH_2.json -baseline BENCH_6.json \
+		-baseline BENCH_7.json \
 		-tol 3.0 -alloc-tol 8 -family-tol 'induction=5.0:24' \
-		-min-matches 25 -input $(PERFGATE_OUT)
+		-min-matches 27 -input $(PERFGATE_OUT)
 
 ## ensemble-smoke: the parameter-free ensemble's core contracts as a quick
 ## gate — sampler determinism/validity, the members=1 byte-equivalence to
@@ -78,6 +84,7 @@ ensemble-smoke:
 ## stay manual: go test -fuzz=FuzzX -fuzztime=10m ./internal/...)
 fuzz-smoke:
 	$(GO) test ./internal/sax -run '^$$' -fuzz '^FuzzDiscretize$$' -fuzztime 3s
+	$(GO) test ./internal/sax -run '^$$' -fuzz '^FuzzIntervalCode$$' -fuzztime 3s
 	$(GO) test ./internal/sequitur -run '^$$' -fuzz '^FuzzInduce$$' -fuzztime 3s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 3s
 	$(GO) test ./internal/discord -run '^$$' -fuzz '^FuzzDistKernel$$' -fuzztime 3s -fuzzminimizetime 1x

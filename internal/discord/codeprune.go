@@ -73,23 +73,26 @@ func newFixedPruner(d *sax.Discretization) *codePruner {
 
 // newCandidatePruner builds the pre-filter for the RRA search: each
 // candidate interval is SAX-encoded as one word over its own (variable)
-// length. The bound only describes a comparison at exactly the encoded
-// length, so skip() additionally requires both intervals to match the
-// compared length. Returns nil (filter disabled) when the word shape does
-// not pack or the parameterization uses a non-default norm threshold.
+// length, by a sax.IntervalCoder over the whole series — O(PAA) per
+// candidate from prefix sums, with codes byte-identical to
+// sax.Encoder.EncodeCode on the candidate's slice. The bound only
+// describes a comparison at exactly the encoded length, so skip()
+// additionally requires both intervals to match the compared length.
+// Returns nil (filter disabled) when the word shape does not pack or the
+// parameterization uses a non-default norm threshold.
 func newCandidatePruner(ts []float64, cands []Candidate, p sax.Params) *codePruner {
-	if !defaultNormThreshold(p) || !sax.NewWordCodec(p.PAA, p.Alphabet).Fits() {
+	if !defaultNormThreshold(p) {
 		return nil
+	}
+	ic, err := sax.NewIntervalCoder(ts, sax.Params{PAA: p.PAA, Alphabet: p.Alphabet})
+	if err != nil {
+		return nil // includes a word shape that does not pack
 	}
 	dt, err := sax.NewDistTable(p.Alphabet)
 	if err != nil {
 		return nil
 	}
-	enc, err := sax.NewEncoder(sax.Params{PAA: p.PAA, Alphabet: p.Alphabet})
-	if err != nil {
-		return nil
-	}
-	cd, err := sax.NewCodeDist(dt, enc.Codec())
+	cd, err := sax.NewCodeDist(dt, sax.NewWordCodec(p.PAA, p.Alphabet))
 	if err != nil {
 		return nil
 	}
@@ -104,7 +107,7 @@ func newCandidatePruner(ts []float64, cands []Candidate, p sax.Params) *codePrun
 		if c.IV.Len() < p.PAA || c.IV.Start < 0 || c.IV.End >= len(ts) {
 			continue
 		}
-		code, err := enc.EncodeCode(ts[c.IV.Start : c.IV.End+1])
+		code, err := ic.Code(c.IV.Start, c.IV.Len())
 		if err != nil {
 			continue
 		}

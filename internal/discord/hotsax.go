@@ -64,14 +64,23 @@ func hotsaxSearch(ctx context.Context, st *Stats, p sax.Params, k int, seed int6
 	}
 	words := d.Strings() // words[i] = word of the window starting at i
 
-	// Index: word -> positions, and per-position frequency.
-	index := make(map[string][]int)
+	// Index: each position's word id (dense, in order of first
+	// appearance), the positions of every word, and per-position
+	// frequency.
+	ids := make(map[string]int)
+	wordID := make([]int, len(words))
 	for pos, w := range words {
-		index[w] = append(index[w], pos)
+		id, ok := ids[w]
+		if !ok {
+			id = len(ids)
+			ids[w] = id
+		}
+		wordID[pos] = id
 	}
+	index := newGroupIndex(len(words), func(pos int) int { return wordID[pos] })
 	freq := make([]int, len(words))
-	for pos, w := range words {
-		freq[pos] = len(index[w])
+	for pos, id := range wordID {
+		freq[pos] = len(index.of(id))
 	}
 
 	// Outer order: ascending word frequency; positions within the same
@@ -103,7 +112,7 @@ func hotsaxSearch(ctx context.Context, st *Stats, p sax.Params, k int, seed int6
 			if overlapsAny(iv, res.Discords) {
 				continue
 			}
-			sameWord := index[words[cand]]
+			sameWord := index.of(wordID[cand])
 			if tuning.NoSameGroupFirst {
 				sameWord = nil
 			}
@@ -168,19 +177,18 @@ func (e *engine) nearestNeighbor(cand, window int, sameWord, inner []int, bestSo
 		}
 		return true
 	}
+	// Same-word positions are marked as visited in the pooled visit
+	// table (a fresh epoch empties it without allocating), so the
+	// random-order pass over all positions skips them.
+	seen, epoch := e.scratch.VisitScratch(len(inner))
 	for _, q := range sameWord {
+		seen[q] = epoch
 		if !visit(q) {
 			return math.Inf(-1), -2
 		}
 	}
-	// Random-order pass over all positions, skipping the same-word
-	// positions already visited.
-	skip := make(map[int]bool, len(sameWord))
-	for _, q := range sameWord {
-		skip[q] = true
-	}
 	for _, q := range inner {
-		if skip[q] {
+		if seen[q] == epoch {
 			continue
 		}
 		if !visit(q) {

@@ -165,3 +165,25 @@ func BenchmarkComponent_SearchRRA(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkComponent_SearchRRACoded is the production RRA path the server
+// runs (core's RRAParallelStatsCodedCtx) at workers 1: the candidate list
+// and the coded MINDIST pre-filter are built inside the op, so the row
+// covers the candidate encoding and the search bookkeeping as well as the
+// kernel.
+func BenchmarkComponent_SearchRRACoded(b *testing.B) {
+	for _, name := range []string{"ecg0606", "tek16"} {
+		b.Run(name, func(b *testing.B) {
+			ds := benchDataset(b, name)
+			rs := ruleSetReduced(b, ds.Series, ds.Params, sax.ReductionExact)
+			st := NewStats(ds.Series)
+			ctx := context.Background()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RRAParallelStatsCodedCtx(ctx, st, rs, 1, 1, 1, ds.Params); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

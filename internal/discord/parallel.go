@@ -53,10 +53,7 @@ func nearestNonSelfSearch(ctx context.Context, st *Stats, rs *grammar.RuleSet, w
 		workers = len(cands)
 	}
 
-	byRule := make(map[int][]int)
-	for i, c := range cands {
-		byRule[c.RuleID] = append(byRule[c.RuleID], i)
-	}
+	byRule := newGroupIndex(len(cands), func(i int) int { return cands[i].RuleID })
 
 	m := len(st.ts)
 	results := make([]Discord, len(cands))
@@ -67,12 +64,11 @@ func nearestNonSelfSearch(ctx context.Context, st *Stats, rs *grammar.RuleSet, w
 		kw := workspace.GetKernel()
 		defer workspace.PutKernel(kw)
 		e.scratch = kw
-		sc := newNNScratch(len(cands))
 		for ci := w; ci < len(cands); ci += stride {
 			if e.cancelled() {
 				return e.cancelCause()
 			}
-			d, ok := nearestOf(e, cands, byRule, ci, m, sc)
+			d, ok := nearestOf(e, cands, byRule, ci, m)
 			if err := e.cancelCause(); err != nil {
 				return err // scan cut short; its result is not recorded
 			}
@@ -107,21 +103,12 @@ func nearestNonSelfSearch(ctx context.Context, st *Stats, rs *grammar.RuleSet, w
 	return out, nil
 }
 
-// nnScratch is a worker-private visited marker reused across candidates:
-// seen[qi] == gen means qi was visited in the same-rule phase of the
-// current candidate's scan.
-type nnScratch struct {
-	seen []int
-	gen  int
-}
-
-func newNNScratch(n int) *nnScratch { return &nnScratch{seen: make([]int, n)} }
-
 // nearestOf scans all candidates for the true nearest non-self match of
 // candidate ci, same-rule occurrences first for early-abandoning warmth.
 // The candidate is pinned once so the whole scan runs the query-pinned
-// kernel.
-func nearestOf(e *engine, cands []Candidate, byRule map[int][]int, ci, m int, sc *nnScratch) (Discord, bool) {
+// kernel, and the same-rule occurrences are marked in the pooled visit
+// table so the full pass skips them.
+func nearestOf(e *engine, cands []Candidate, byRule groupIndex, ci, m int) (Discord, bool) {
 	c := cands[ci]
 	length := c.IV.Len()
 	e.pin(c.IV.Start, length)
@@ -142,13 +129,13 @@ func nearestOf(e *engine, cands []Candidate, byRule map[int][]int, ci, m int, sc
 			nnStart = q
 		}
 	}
-	sc.gen++
-	for _, qi := range byRule[c.RuleID] {
-		sc.seen[qi] = sc.gen
+	seen, epoch := e.scratch.VisitScratch(len(cands))
+	for _, qi := range byRule.of(c.RuleID) {
+		seen[qi] = epoch
 		visit(qi)
 	}
 	for qi := range cands {
-		if sc.seen[qi] != sc.gen {
+		if seen[qi] != epoch {
 			visit(qi)
 		}
 	}

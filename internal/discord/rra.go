@@ -104,7 +104,7 @@ func RRAStatsCodedCtx(ctx context.Context, st *Stats, rs *grammar.RuleSet, k int
 // seed is what keeps the two search modes byte-identical.
 type rraOrders struct {
 	outer  []int
-	byRule map[int][]int
+	byRule groupIndex
 	inner  []int
 }
 
@@ -113,14 +113,66 @@ func newRRAOrders(cands []Candidate, seed int64, tuning Tuning) rraOrders {
 	o := rraOrders{
 		outer: orderOuter(len(cands), func(i int) int { return cands[i].Freq }, rng, tuning),
 	}
-	o.byRule = make(map[int][]int)
 	if !tuning.NoSameGroupFirst {
-		for i, c := range cands {
-			o.byRule[c.RuleID] = append(o.byRule[c.RuleID], i)
-		}
+		o.byRule = newGroupIndex(len(cands), func(i int) int { return cands[i].RuleID })
 	}
 	o.inner = rng.Perm(len(cands)) // shared random order for the second phase
 	return o
+}
+
+// groupIndex lists the members of each group in compressed sparse row
+// form: group g's members are idx[off[g-lo]:off[g-lo+1]]. It backs the
+// inner loops' same-group-first phase — RRA's same-rule occurrences and
+// HOTSAX's same-word positions. A stable counting sort builds it with two
+// allocations, where a map of growing per-group slices cost at least one
+// per group; each list is ascending, as the appended slices were, so the
+// inner loops visit in the same order. The zero value is an empty index.
+type groupIndex struct {
+	lo  int   // smallest group key (RRA's zero-coverage gaps are -1)
+	off []int // off[g]..off[g+1] bounds group lo+g's span of idx
+	idx []int
+}
+
+// newGroupIndex groups the members 0..n-1 by key(i). The offsets array
+// spans the whole key range, so keys should be dense, as rule ids and
+// word ids are.
+func newGroupIndex(n int, key func(i int) int) groupIndex {
+	if n == 0 {
+		return groupIndex{}
+	}
+	lo, hi := key(0), key(0)
+	for i := 1; i < n; i++ {
+		lo = min(lo, key(i))
+		hi = max(hi, key(i))
+	}
+	off := make([]int, hi-lo+2)
+	for i := 0; i < n; i++ {
+		off[key(i)-lo+1]++
+	}
+	for g := 1; g < len(off); g++ {
+		off[g] += off[g-1]
+	}
+	// Place each member at its group's cursor; afterwards off[g] holds the
+	// end of group g, so shifting right by one restores the starts.
+	idx := make([]int, n)
+	for i := 0; i < n; i++ {
+		g := key(i) - lo
+		idx[off[g]] = i
+		off[g]++
+	}
+	copy(off[1:], off[:len(off)-1])
+	off[0] = 0
+	return groupIndex{lo: lo, off: off, idx: idx}
+}
+
+// of returns group key's members in ascending order (nil when it has
+// none). The slice is shared; callers must not modify it.
+func (x groupIndex) of(key int) []int {
+	g := key - x.lo
+	if g < 0 || g+1 >= len(x.off) {
+		return nil
+	}
+	return x.idx[x.off[g]:x.off[g+1]:x.off[g+1]]
 }
 
 func rraSearchTuned(ctx context.Context, st *Stats, cands []Candidate, k int, seed int64, tuning Tuning) (Result, error) {
@@ -147,7 +199,7 @@ func rraSearchPruned(ctx context.Context, st *Stats, cands []Candidate, k int, s
 			if overlapsAny(c.IV, res.Discords) {
 				continue
 			}
-			nn, nnStart := e.rraNearest(c, ci, cands, ord.byRule[c.RuleID], ord.inner, cutoffRef{fixed: best.Dist}, m)
+			nn, nnStart := e.rraNearest(c, ci, cands, ord.byRule.of(c.RuleID), ord.inner, cutoffRef{fixed: best.Dist}, m)
 			if nnStart >= 0 && nn > best.Dist {
 				best = Discord{Interval: c.IV, Dist: nn, NNStart: nnStart, RuleID: c.RuleID, Freq: c.Freq}
 			}
@@ -242,15 +294,18 @@ func (e *engine) rraNearest(c Candidate, ci int, cands []Candidate, sameRule, in
 		return true
 	}
 
-	visited := make(map[int]bool, len(sameRule))
+	// Same-rule occurrences are marked as visited so the random-order
+	// pass skips them; a fresh epoch of the pooled visit table empties
+	// the set without allocating.
+	seen, epoch := e.scratch.VisitScratch(len(cands))
 	for _, qi := range sameRule {
-		visited[qi] = true
+		seen[qi] = epoch
 		if !visit(qi) {
 			return math.Inf(-1), -2
 		}
 	}
 	for _, qi := range inner {
-		if visited[qi] {
+		if seen[qi] == epoch {
 			continue
 		}
 		if !visit(qi) {

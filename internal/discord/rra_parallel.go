@@ -148,7 +148,7 @@ func rraParallel(ctx context.Context, st *Stats, cands []Candidate, k int, seed 
 						results[pos] = candResult{nnStart: -1}
 						continue
 					}
-					nn, nnStart := e.rraNearest(c, ci, cands, ord.byRule[c.RuleID], ord.inner, cutoffRef{shared: cutoff}, m)
+					nn, nnStart := e.rraNearest(c, ci, cands, ord.byRule.of(c.RuleID), ord.inner, cutoffRef{shared: cutoff}, m)
 					if err := e.cancelCause(); err != nil {
 						return err // scan cut short; results[pos] left unset
 					}

@@ -55,6 +55,10 @@ type slidingStats struct {
 	// trustworthy. Every window then takes the naive encoder, which keeps
 	// the output byte-identical to DiscretizeReference by construction.
 	forceNaive bool
+
+	// magP and magQ are the largest absolute prefix sums of the values
+	// and of their squares: the magnitudes the error bounds scale with.
+	magP, magQ float64
 }
 
 // kahanPrefix builds a compensated prefix-sum array of f(v) over ts and
@@ -76,11 +80,21 @@ func kahanPrefix(ts []float64, f func(float64) float64) (out []float64, maxAbs f
 }
 
 func newSlidingStats(ts []float64, p Params) (*slidingStats, error) {
-	cuts, err := Breakpoints(p.Alphabet)
+	st, err := newSeriesStats(ts, p)
 	if err != nil {
 		return nil, err
 	}
-	pat, err := paa.NewSegmentPattern(p.Window, p.PAA)
+	if err := st.setWindow(p.Window); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// newSeriesStats builds the window-independent part of a slidingStats:
+// breakpoints, prefix sums, change counts and the overflow guard. The
+// window-dependent part is left for setWindow.
+func newSeriesStats(ts []float64, p Params) (*slidingStats, error) {
+	cuts, err := Breakpoints(p.Alphabet)
 	if err != nil {
 		return nil, err
 	}
@@ -88,13 +102,11 @@ func newSlidingStats(ts []float64, p Params) (*slidingStats, error) {
 		ts:      ts,
 		p:       p,
 		cuts:    cuts,
-		pat:     pat,
 		thresh:  p.normThreshold(),
 		thresh2: p.normThreshold() * p.normThreshold(),
 	}
-	var magP, magQ float64
-	st.sum, magP = kahanPrefix(ts, func(v float64) float64 { return v })
-	st.sumSq, magQ = kahanPrefix(ts, func(v float64) float64 { return v * v })
+	st.sum, st.magP = kahanPrefix(ts, func(v float64) float64 { return v })
+	st.sumSq, st.magQ = kahanPrefix(ts, func(v float64) float64 { return v * v })
 	st.changes = make([]int32, len(ts)+1)
 	for i := 1; i < len(ts); i++ {
 		st.changes[i+1] = st.changes[i]
@@ -102,15 +114,27 @@ func newSlidingStats(ts []float64, p Params) (*slidingStats, error) {
 			st.changes[i+1]++
 		}
 	}
-	w := float64(p.Window)
-	st.meanErr = errScale * (magP/w + 1)
-	st.sumSqErr = errScale * (magQ/w + 1)
-	st.segMeanErr = errScale * (magP*pat.Inv + 1)
 	// Values above ~1.3e154 overflow the squared prefix sums even though
 	// the series itself is finite; past that point the incremental
 	// arithmetic (and its error tracking) is meaningless.
-	st.forceNaive = math.IsInf(magP, 0) || math.IsInf(magQ, 0)
+	st.forceNaive = math.IsInf(st.magP, 0) || math.IsInf(st.magQ, 0)
 	return st, nil
+}
+
+// setWindow fixes the window length w: the PAA segment pattern and the
+// error bounds, which scale with w.
+func (st *slidingStats) setWindow(w int) error {
+	pat, err := paa.NewSegmentPattern(w, st.p.PAA)
+	if err != nil {
+		return err
+	}
+	st.p.Window = w
+	st.pat = pat
+	n := float64(w)
+	st.meanErr = errScale * (st.magP/n + 1)
+	st.sumSqErr = errScale * (st.magQ/n + 1)
+	st.segMeanErr = errScale * (st.magP*pat.Inv + 1)
+	return nil
 }
 
 // windowEncoder is one worker's mutable view of a slidingStats: a reusable

@@ -93,6 +93,14 @@ type Kernel struct {
 	Inv   []float64
 	Stamp []uint32
 	Epoch uint32
+
+	// Visit/VisitEpoch back the searches' per-candidate visited set: an
+	// inner loop marks the neighbors of its same-group phase with
+	// Visit[i] = VisitEpoch and skips them in its random-order phase.
+	// Each candidate takes a fresh epoch, so the set is emptied in O(1)
+	// instead of being reallocated.
+	Visit      []uint32
+	VisitEpoch uint32
 }
 
 var kernelPool = sync.Pool{
@@ -148,6 +156,26 @@ func (k *Kernel) MomentScratch(n int) (mean, inv []float64, stamp []uint32) {
 		k.Epoch = 1
 	}
 	return k.Mean, k.Inv, k.Stamp
+}
+
+// VisitScratch returns the visit table resized to n entries together
+// with a fresh epoch that no entry holds yet, so the set reads as empty
+// until the caller marks entries with it. Like MomentScratch it grows on
+// demand and clears the table only when the epoch wraps around. The slice
+// stays owned by the Kernel; callers must not retain it past PutKernel.
+//
+//gvad:noalloc
+func (k *Kernel) VisitScratch(n int) (visit []uint32, epoch uint32) {
+	if cap(k.Visit) < n {
+		k.Visit = make([]uint32, n)
+	}
+	k.Visit = k.Visit[:n]
+	k.VisitEpoch++
+	if k.VisitEpoch == 0 {
+		clear(k.Visit[:cap(k.Visit)])
+		k.VisitEpoch = 1
+	}
+	return k.Visit, k.VisitEpoch
 }
 
 // MaxPooledBody caps the capacity of a Body buffer PutBody returns to the

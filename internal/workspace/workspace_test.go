@@ -66,3 +66,37 @@ func TestBodyPoolCap(t *testing.T) {
 		PutBody(b)
 	}
 }
+
+// TestVisitScratch checks the visit table's epoch contract: every call
+// yields an epoch no entry holds, growth keeps that true, and a uint32
+// wraparound clears the whole backing array — including entries past the
+// current length — before the epoch restarts at 1.
+func TestVisitScratch(t *testing.T) {
+	k := &Kernel{}
+	v, e := k.VisitScratch(8)
+	for i := range v {
+		v[i] = e
+	}
+	v, e2 := k.VisitScratch(4)
+	if e2 == e {
+		t.Fatalf("epoch %d reused", e2)
+	}
+	for i, m := range v {
+		if m == e2 {
+			t.Fatalf("entry %d already marked with the fresh epoch", i)
+		}
+	}
+	k.VisitEpoch = ^uint32(0)
+	v, e3 := k.VisitScratch(4)
+	if e3 != 1 {
+		t.Fatalf("epoch after wraparound = %d, want 1", e3)
+	}
+	for i, m := range v[:cap(v)] {
+		if m != 0 {
+			t.Fatalf("entry %d = %d after wraparound, want 0", i, m)
+		}
+	}
+	if v, _ = k.VisitScratch(100); len(v) != 100 {
+		t.Fatalf("len = %d, want 100", len(v))
+	}
+}
